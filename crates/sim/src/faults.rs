@@ -162,6 +162,29 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// This kind's bit in [`FaultPlan`]'s kind mask.
+    fn bit(&self) -> u8 {
+        match self {
+            FaultKind::Slowdown { .. } => SLOWDOWN,
+            FaultKind::ContentionStorm { .. } => STORM,
+            FaultKind::TimerDrift { .. } => DRIFT,
+            FaultKind::TimerJitter { .. } => JITTER,
+            FaultKind::BarrierStraggler { .. } => STRAGGLER,
+            FaultKind::ProcCrash { .. } => CRASH,
+            FaultKind::ProcStall { .. } => STALL,
+        }
+    }
+}
+
+const SLOWDOWN: u8 = 1 << 0;
+const STORM: u8 = 1 << 1;
+const DRIFT: u8 = 1 << 2;
+const JITTER: u8 = 1 << 3;
+const STRAGGLER: u8 = 1 << 4;
+const CRASH: u8 = 1 << 5;
+const STALL: u8 = 1 << 6;
+
 /// A [`FaultKind`] active during a [`Window`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
@@ -201,17 +224,24 @@ const MAX_ONSET: Duration = Duration::from_secs(3600);
 ///
 /// The default plan is empty (no faults); an empty plan leaves every
 /// simulation result bit-identical to a machine without fault support.
+///
+/// Every query returns its identity value at once when the plan holds no
+/// event of the kind it asks about. The engine asks several queries per
+/// step, and a plan usually holds only a few kinds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,
+    /// One bit per [`FaultKind`] present in `events`. Set only by
+    /// [`push`](FaultPlan::push), the one path that adds events.
+    kinds: u8,
 }
 
 impl FaultPlan {
     /// An empty plan whose jitter streams are derived from `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, events: Vec::new() }
+        FaultPlan { seed, events: Vec::new(), kinds: 0 }
     }
 
     /// Builder-style: add an event.
@@ -223,7 +253,13 @@ impl FaultPlan {
 
     /// Add an event.
     pub fn push(&mut self, window: Window, kind: FaultKind) {
+        self.kinds |= kind.bit();
         self.events.push(FaultEvent { window, kind });
+    }
+
+    /// Whether the plan holds an event of any kind in `mask`.
+    fn has(&self, mask: u8) -> bool {
+        self.kinds & mask != 0
     }
 
     /// The plan's events.
@@ -334,6 +370,9 @@ impl FaultPlan {
     /// active slowdowns; 1.0 when none apply).
     #[must_use]
     pub fn compute_factor(&self, proc: usize, t: SimTime) -> f64 {
+        if !self.has(SLOWDOWN) {
+            return 1.0;
+        }
         let mut factor = 1.0;
         for e in &self.events {
             if let FaultKind::Slowdown { procs, factor: f } = &e.kind {
@@ -348,6 +387,9 @@ impl FaultPlan {
     /// Multiplier on acquire/release costs for `lock` at `t`.
     #[must_use]
     pub fn lock_cost_factor(&self, lock: usize, t: SimTime) -> f64 {
+        if !self.has(STORM) {
+            return 1.0;
+        }
         let mut factor = 1.0;
         for e in &self.events {
             if let FaultKind::ContentionStorm { locks, cost_factor, .. } = &e.kind {
@@ -363,6 +405,9 @@ impl FaultPlan {
     /// active storms).
     #[must_use]
     pub fn extra_hold(&self, lock: usize, t: SimTime) -> Duration {
+        if !self.has(STORM) {
+            return Duration::ZERO;
+        }
         let mut extra = Duration::ZERO;
         for e in &self.events {
             if let FaultKind::ContentionStorm { locks, extra_hold, .. } = &e.kind {
@@ -377,6 +422,9 @@ impl FaultPlan {
     /// Extra delay before `proc`'s arrival at a barrier at `t` registers.
     #[must_use]
     pub fn barrier_delay(&self, proc: usize, t: SimTime) -> Duration {
+        if !self.has(STRAGGLER) {
+            return Duration::ZERO;
+        }
         let mut delay = Duration::ZERO;
         for e in &self.events {
             if let FaultKind::BarrierStraggler { procs, delay: d } = &e.kind {
@@ -394,6 +442,9 @@ impl FaultPlan {
     /// next scheduling point at or after this instant.
     #[must_use]
     pub fn crash_at(&self, proc: usize) -> Option<SimTime> {
+        if !self.has(CRASH) {
+            return None;
+        }
         self.events
             .iter()
             .filter_map(|e| match &e.kind {
@@ -409,6 +460,9 @@ impl FaultPlan {
     /// free to run.
     #[must_use]
     pub fn stall_until(&self, proc: usize, t: SimTime) -> Option<SimTime> {
+        if !self.has(STALL) {
+            return None;
+        }
         self.events
             .iter()
             .filter_map(|e| match &e.kind {
@@ -424,9 +478,12 @@ impl FaultPlan {
     /// active drift and jitter fault. Pure in (plan, proc, read ordinal,
     /// real time); with drift or jitter the result may be *non-monotone*
     /// across consecutive reads.
+    ///
+    /// The gate is by kind, not by window: a drift keeps shifting the
+    /// observed clock after its window has closed.
     #[must_use]
     pub fn observed_time(&self, proc: usize, read_no: u64, real: SimTime) -> SimTime {
-        if self.events.is_empty() {
+        if !self.has(DRIFT | JITTER) {
             return real;
         }
         let mut observed = i128::from(real.as_nanos());
@@ -782,6 +839,125 @@ mod tests {
         }
         assert!(saw_crash, "no ProcCrash generated in 64 seeds");
         assert!(saw_stall, "no ProcStall generated in 64 seeds");
+    }
+
+    /// The answers to every query at one point, f64 factors as bits so
+    /// that equality is exact.
+    type Answers = (u64, u64, Duration, Duration, Option<SimTime>, Option<SimTime>, SimTime);
+
+    /// Every query asked of the plan: `(compute, lock cost, extra hold,
+    /// barrier delay, stall, crash, observed time)`.
+    fn ask(p: &FaultPlan, proc: usize, lock: usize, t: SimTime, read_no: u64) -> Answers {
+        (
+            p.compute_factor(proc, t).to_bits(),
+            p.lock_cost_factor(lock, t).to_bits(),
+            p.extra_hold(lock, t),
+            p.barrier_delay(proc, t),
+            p.stall_until(proc, t),
+            p.crash_at(proc),
+            p.observed_time(proc, read_no, t),
+        )
+    }
+
+    /// Every query recomputed straight from `events()`, with no kind gate.
+    fn recompute(p: &FaultPlan, proc: usize, lock: usize, t: SimTime, read_no: u64) -> Answers {
+        let mut compute = 1.0;
+        let mut cost = 1.0;
+        let mut hold = Duration::ZERO;
+        let mut delay = Duration::ZERO;
+        let mut stall: Option<SimTime> = None;
+        let mut crash: Option<SimTime> = None;
+        let mut observed = i128::from(t.as_nanos());
+        for (i, e) in p.events().iter().enumerate() {
+            let on = e.window.contains(t);
+            match &e.kind {
+                FaultKind::Slowdown { procs, factor } if on && procs.matches(proc) => {
+                    compute *= factor;
+                }
+                FaultKind::ContentionStorm { locks, cost_factor, extra_hold }
+                    if on && locks.matches(lock) =>
+                {
+                    cost *= cost_factor;
+                    hold += *extra_hold;
+                }
+                FaultKind::BarrierStraggler { procs, delay: d } if on && procs.matches(proc) => {
+                    delay += *d;
+                }
+                FaultKind::ProcStall { procs } if on && procs.matches(proc) => {
+                    stall = stall.max(Some(e.window.end));
+                }
+                FaultKind::ProcCrash { procs } if procs.matches(proc) => {
+                    crash = Some(crash.map_or(e.window.start, |c| c.min(e.window.start)));
+                }
+                FaultKind::TimerDrift { ppm } => {
+                    let inside = e.window.elapsed_within(t).as_nanos() as i128;
+                    observed += inside * i128::from(*ppm) / 1_000_000;
+                }
+                FaultKind::TimerJitter { max } if on && !max.is_zero() => {
+                    let max_ns = max.as_nanos() as u64;
+                    let r = mix64(&[p.seed(), i as u64, proc as u64, read_no]);
+                    observed += i128::from(r % (max_ns + 1));
+                }
+                _ => {}
+            }
+        }
+        let observed = SimTime::from_nanos(u64::try_from(observed.max(0)).unwrap_or(u64::MAX));
+        (compute.to_bits(), cost.to_bits(), hold, delay, stall, crash, observed)
+    }
+
+    #[test]
+    fn gated_queries_match_a_recomputation_from_the_events() {
+        let profile = ChaosProfile { events: 12, ..ChaosProfile::default() };
+        let horizon = profile.horizon.as_nanos() as u64;
+        let mut g = SplitMix64::new(0x5eed);
+        for seed in 0..24 {
+            let full = FaultPlan::random(seed, &profile);
+            // The full plan, one plan per kind it holds (plan order and
+            // seed kept), and the empty plan.
+            let mut plans = vec![full.clone(), FaultPlan::new(seed)];
+            for kind in [SLOWDOWN, STORM, DRIFT, JITTER, STRAGGLER, CRASH, STALL] {
+                let mut single = FaultPlan::new(seed);
+                for e in full.events().iter().filter(|e| e.kind.bit() == kind) {
+                    single.push(e.window, e.kind.clone());
+                }
+                plans.push(single);
+            }
+            for p in &plans {
+                let has = |mask: u8| p.events().iter().any(|e| e.kind.bit() & mask != 0);
+                for _ in 0..200 {
+                    let proc = g.gen_index(profile.procs + 2);
+                    let lock = g.gen_index(profile.locks + 2);
+                    // Past the horizon too: drift keeps shifting the clock
+                    // after its window closes.
+                    let t = SimTime::from_nanos(g.gen_range(0, horizon * 3 / 2));
+                    let read_no = g.next_u64();
+                    let got = ask(p, proc, lock, t, read_no);
+                    let at =
+                        format!("seed {seed}, proc {proc}, lock {lock}, t {t}, read {read_no}");
+                    assert_eq!(got, recompute(p, proc, lock, t, read_no), "{at}");
+                    // A kind the plan lacks leaves its query at identity.
+                    let one = 1.0f64.to_bits();
+                    if !has(SLOWDOWN) {
+                        assert_eq!(got.0, one, "{at}");
+                    }
+                    if !has(STORM) {
+                        assert_eq!((got.1, got.2), (one, Duration::ZERO), "{at}");
+                    }
+                    if !has(STRAGGLER) {
+                        assert_eq!(got.3, Duration::ZERO, "{at}");
+                    }
+                    if !has(STALL) {
+                        assert_eq!(got.4, None, "{at}");
+                    }
+                    if !has(CRASH) {
+                        assert_eq!(got.5, None, "{at}");
+                    }
+                    if !has(DRIFT | JITTER) {
+                        assert_eq!(got.6, t, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

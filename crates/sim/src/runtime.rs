@@ -85,9 +85,15 @@ impl OpSink {
         }
     }
 
+    /// Empty the sink for the next emission, keeping its allocation.
+    fn clear(&mut self) {
+        self.steps.clear();
+        self.pending = Duration::ZERO;
+    }
+
     /// Finalize into the step sequence the machine will execute. Public so
     /// differential tests can compare the exact steps two execution tiers
-    /// emit; the runtime itself also drains sinks through this.
+    /// emit; the runtime reads its own buffers in place instead.
     #[must_use]
     pub fn into_steps(mut self) -> VecDeque<Step> {
         self.flush();
@@ -528,23 +534,16 @@ struct Active {
 }
 
 impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
-    /// Initialize section `plan_idx` if not already active. `totals` are
-    /// machine-wide stats at `now` (the baseline for the first interval's
-    /// overhead measurement).
+    /// Initialize section `plan_idx` if not already active. The machine-wide
+    /// stats at this instant (the baseline for the first interval's
+    /// overhead measurement) are summed only when a section starts.
     ///
     /// # Errors
     ///
     /// Returns a typed [`SimError`] for an application whose section has no
     /// versions, or (in static mode) no version implementing the requested
     /// policy. The caller records the error on the driver and winds down.
-    fn ensure_active(
-        &mut self,
-        plan_idx: usize,
-        now: SimTime,
-        observed: SimTime,
-        totals: ProcStats,
-        crashed: usize,
-    ) -> Result<(), SimError> {
+    fn ensure_active(&mut self, plan_idx: usize, ctx: &ProcCtx<'_>) -> Result<(), SimError> {
         let stale = match &self.active {
             Some(a) => a.plan_idx != plan_idx || a.section_over,
             None => true,
@@ -552,6 +551,10 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
         if !stale {
             return Ok(());
         }
+        let now = ctx.now();
+        let observed = ctx.peek_timer();
+        let totals = ctx.total_stats();
+        let crashed = crashed_count(ctx);
         debug_assert!(
             self.active.as_ref().is_none_or(|a| a.section_over),
             "previous section must be finalized"
@@ -1001,7 +1004,7 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
 enum PState {
     /// About to begin plan entry `pos` (or finish if out of entries).
     NextEntry,
-    /// Draining the op queue; then go to `after`.
+    /// Draining the step buffer; then go to `after`.
     Drain(AfterDrain),
     /// Poll the timer and check interval expiration (dynamic mode).
     PollTimer,
@@ -1020,12 +1023,38 @@ enum AfterDrain {
     NextIteration { poll: bool },
 }
 
+/// One processor's reusable step buffer: every serial body and loop
+/// iteration is emitted into the same [`OpSink`], cleared first, and read
+/// back through a cursor. Steady state allocates nothing per iteration.
+#[derive(Default)]
+struct StepBuffer {
+    ops: OpSink,
+    cursor: usize,
+}
+
+impl StepBuffer {
+    /// Replace the buffered steps with what `emit` emits.
+    fn refill(&mut self, emit: impl FnOnce(&mut OpSink)) {
+        self.ops.clear();
+        emit(&mut self.ops);
+        self.ops.flush();
+        self.cursor = 0;
+    }
+
+    /// The next buffered step, or `None` once all have been taken.
+    fn next(&mut self) -> Option<Step> {
+        let step = self.ops.steps.get(self.cursor).copied()?;
+        self.cursor += 1;
+        Some(step)
+    }
+}
+
 struct AppProcess<'a, S: TraceSink, J: JournalSink> {
     driver: Rc<RefCell<Driver<'a, S, J>>>,
     proc_index: usize,
     pos: usize,
     state: PState,
-    queue: VecDeque<Step>,
+    buffer: StepBuffer,
     barrier: BarrierId,
     instrument_cost: Duration,
     instrumented_static: bool,
@@ -1042,11 +1071,9 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
     /// Take the next loop iteration (or initiate the section-ending
     /// rendezvous), returning the next step.
     fn parallel_step(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
-        let totals = ctx.total_stats();
-        let crashed = crashed_count(ctx);
-        let mut driver = self.driver.borrow_mut();
-        if let Err(e) = driver.ensure_active(self.pos, ctx.now(), ctx.peek_timer(), totals, crashed)
-        {
+        let mut guard = self.driver.borrow_mut();
+        let driver = &mut *guard;
+        if let Err(e) = driver.ensure_active(self.pos, ctx) {
             driver.error.get_or_insert(e);
             self.state = PState::Finished;
             return Step::Done;
@@ -1070,22 +1097,20 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
         let iter = active.issued_iters;
         active.issued_iters += 1;
         let version = active.version;
-        let section = driver.plan[self.pos].name.clone();
-        let mut sink = OpSink::default();
-        driver.app.emit_iteration(&section, version, iter, &mut sink);
-        self.queue = sink.into_steps();
+        let section = &driver.plan[self.pos].name;
+        self.buffer.refill(|ops| driver.app.emit_iteration(section, version, iter, ops));
+        drop(guard);
         let poll = dynamic || self.instrumented_static;
         if poll {
             ctx.charge(self.instrument_cost);
         }
         self.state = PState::Drain(AfterDrain::NextIteration { poll });
-        drop(driver);
         self.drain(ctx)
     }
 
-    /// Return the next queued step, or transition to the continuation.
+    /// Return the next buffered step, or transition to the continuation.
     fn drain(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
-        if let Some(step) = self.queue.pop_front() {
+        if let Some(step) = self.buffer.next() {
             return step;
         }
         let after = match self.state {
@@ -1118,8 +1143,6 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
     fn poll_timer(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
         let t = ctx.read_timer();
         let now = ctx.now();
-        let totals = ctx.total_stats();
-        let crashed = crashed_count(ctx);
         let mut driver = self.driver.borrow_mut();
         let asynchronous = matches!(driver.mode, RunMode::DynamicAsync(_));
         let watchdog = driver.sampling_watchdog;
@@ -1143,6 +1166,7 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
                     && ctl.event_driven()
                     && t.saturating_since(active.signal_at) >= ctl.config().target_sampling
                 {
+                    let totals = ctx.total_stats();
                     let slice = totals.since(&active.signal_snapshot).overhead_sample();
                     active.signal_at = t;
                     active.signal_snapshot = totals;
@@ -1158,13 +1182,13 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
                 // rendezvous; the other processors observe the new version
                 // at their next iteration. Timestamped with the observed
                 // time, as the generated code would.
-                driver.apply_transition(t, t, totals, crashed);
+                driver.apply_transition(t, t, ctx.total_stats(), crashed_count(ctx));
             } else if let Some(active) = driver.active.as_mut() {
                 active.switch_requested = true;
             }
         } else if stuck {
             if asynchronous {
-                driver.apply_abort(now, t, totals, crashed);
+                driver.apply_abort(now, t, ctx.total_stats(), crashed_count(ctx));
             } else if let Some(active) = driver.active.as_mut() {
                 active.switch_requested = true;
                 active.abort_requested = true;
@@ -1221,30 +1245,21 @@ impl<'a, S: TraceSink, J: JournalSink> Process for AppProcess<'a, S, J> {
                 let kind = self.driver.borrow().plan[self.pos].kind;
                 match kind {
                     SectionKind::Serial => {
-                        let totals = ctx.total_stats();
-                        let crashed = crashed_count(ctx);
-                        let mut driver = self.driver.borrow_mut();
-                        if let Err(e) = driver.ensure_active(
-                            self.pos,
-                            ctx.now(),
-                            ctx.peek_timer(),
-                            totals,
-                            crashed,
-                        ) {
+                        let mut guard = self.driver.borrow_mut();
+                        let driver = &mut *guard;
+                        if let Err(e) = driver.ensure_active(self.pos, ctx) {
                             driver.error.get_or_insert(e);
                             self.state = PState::Finished;
                             return Step::Done;
                         }
                         if self.proc_index == 0 {
-                            let section = driver.plan[self.pos].name.clone();
-                            let mut sink = OpSink::default();
-                            driver.app.emit_serial(&section, &mut sink);
-                            self.queue = sink.into_steps();
-                            drop(driver);
+                            let section = &driver.plan[self.pos].name;
+                            self.buffer.refill(|ops| driver.app.emit_serial(section, ops));
+                            drop(guard);
                             self.state = PState::Drain(AfterDrain::ToBarrier);
                             self.drain(ctx)
                         } else {
-                            drop(driver);
+                            drop(guard);
                             self.state = PState::AfterBarrier;
                             Step::Barrier(self.barrier)
                         }
@@ -1423,7 +1438,7 @@ fn run_app_impl<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink, M: MetricsSink
                 proc_index: p,
                 pos: 0,
                 state: PState::NextEntry,
-                queue: VecDeque::new(),
+                buffer: StepBuffer::default(),
                 barrier,
                 instrument_cost: config.instrument_cost,
                 instrumented_static,
@@ -1635,6 +1650,85 @@ mod tests {
         let b = run_app(Toy::new(1_000), &RunConfig::dynamic(3, ctl)).unwrap();
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.sections, b.sections);
+    }
+
+    /// Iteration `i` of either parallel section emits `i` acquire/release
+    /// pairs, and the serial section between them emits `SERIAL_PAIRS`, so
+    /// every emission differs in length from the one before it on the same
+    /// processor. The two versions differ only in compute, so the lock
+    /// count does not depend on which version runs.
+    struct Ragged {
+        iterations: usize,
+        locks: Option<LockId>,
+    }
+
+    const RAGGED_LOCKS: usize = 5;
+    const SERIAL_PAIRS: usize = 3;
+
+    impl Ragged {
+        fn pairs(&self, n: usize, ops: &mut OpSink) {
+            let first = self.locks.expect("setup ran");
+            for j in 0..n {
+                let lock = first.offset(j % RAGGED_LOCKS);
+                ops.acquire(lock);
+                ops.compute(Duration::from_micros(1));
+                ops.release(lock);
+            }
+        }
+    }
+
+    impl SimApp for Ragged {
+        fn name(&self) -> &str {
+            "ragged"
+        }
+        fn setup(&mut self, machine: &mut Machine) {
+            self.locks = Some(machine.add_locks(RAGGED_LOCKS));
+        }
+        fn plan(&self) -> Vec<PlanEntry> {
+            vec![PlanEntry::parallel("a"), PlanEntry::serial("mid"), PlanEntry::parallel("b")]
+        }
+        fn versions(&self, _s: &str) -> Vec<String> {
+            vec!["original".to_string(), "aggressive".to_string()]
+        }
+        fn emit_serial(&mut self, _s: &str, ops: &mut OpSink) {
+            self.pairs(SERIAL_PAIRS, ops);
+        }
+        fn begin_parallel(&mut self, _s: &str) -> usize {
+            self.iterations
+        }
+        fn emit_iteration(&mut self, _s: &str, version: usize, iter: usize, ops: &mut OpSink) {
+            ops.compute(Duration::from_micros(3 + 2 * version as u64));
+            self.pairs(iter, ops);
+        }
+    }
+
+    #[test]
+    fn reused_step_buffer_keeps_acquire_counts_exact() {
+        let n = 90;
+        // Two parallel sections of sum(0..n) pairs each, plus the serial one.
+        let expected = (2 * n * (n - 1) / 2 + SERIAL_PAIRS) as u64;
+        let ctl = ControllerConfig {
+            target_sampling: Duration::from_micros(20),
+            target_production: Duration::from_micros(200),
+            ..ControllerConfig::default()
+        };
+        for procs in [1, 8] {
+            for cfg in [RunConfig::fixed(procs, "original"), RunConfig::dynamic(procs, ctl.clone())]
+            {
+                let report = run_app(Ragged { iterations: n, locks: None }, &cfg).unwrap();
+                assert_eq!(
+                    report.stats.totals().acquires,
+                    expected,
+                    "{procs} procs, {:?}",
+                    cfg.mode
+                );
+                assert_eq!(report.sections.len(), 3);
+                if matches!(cfg.mode, RunMode::Dynamic(_)) {
+                    // The dynamic run switched versions mid-section.
+                    assert!(report.sections[0].records.len() > 2, "{:?}", report.sections[0]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Execution-tier throughput microbenchmark and perf gate.
 //!
-//! Runs barnes-hut under the execution tiers — the tree-walking oracle,
-//! the register-based bytecode VM, and the fused-closure native tier — on
-//! identical `RunConfig`s, measures host wall time (best of N repeats),
-//! and reports simulated operations per host second. Because all tiers
-//! emit bit-identical step sequences (asserted here on every run), the
-//! simulated work is the same numerator throughout, so each throughput
-//! ratio is exactly the host-time ratio.
+//! Runs barnes-hut under both execution tiers — the tree-walking oracle
+//! and the fused-closure native tier — on identical `RunConfig`s, measures
+//! host wall time, and reports simulated operations per host second.
+//! Because both tiers emit bit-identical step sequences (asserted here on
+//! every run), the simulated work is the same numerator throughout, so
+//! each throughput ratio is exactly the host-time ratio.
 //!
 //! Two measurements per tier:
 //!
@@ -15,26 +14,28 @@
 //!   the tiers differ in.
 //! * **executor-only** — just the emission path (`emit_serial` /
 //!   `emit_iteration` over the plan, no event engine), which is where the
-//!   tiers actually differ. The native gates run on this measurement.
+//!   tiers actually differ.
+//!
+//! Each repeat runs the two tiers back to back, alternating which one goes
+//! first, and yields one native/tree ratio per measurement. The gates read
+//! the median of those per-repeat ratios, so host drift between repeats
+//! cancels instead of landing in the ratio.
 //!
 //! Usage: `cargo run --release -p dynfb-bench --bin vm_throughput -- \
 //!     [--tier T] [--native-tier T] [--procs N] [--bodies N] [--steps N] \
-//!     [--repeats N] [--min-ratio R] [--min-native-ratio R] \
-//!     [--min-native-vm-ratio R]`
+//!     [--repeats N] [--min-ratio R] [--min-native-ratio R]`
 //!
-//! Exits nonzero when the VM is below `--min-ratio` (default 2.0) times
-//! the tree-walker on the full run, or the native tier is below
-//! `--min-native-ratio` (default 2.5) times the tree-walker or below
-//! `--min-native-vm-ratio` (default 1.1) times the VM on the
-//! executor-only measurement — margins below the measured ratios recorded
-//! in DESIGN.md, so the gates fail only on real regressions. Gates only
-//! apply to measured tiers; `--tier` restricts the run to one tier (no
-//! gates, no ratios). `--native-tier` substitutes the tier actually run
-//! for the "native" row — CI uses `--native-tier tree` as a negative
-//! control that must fail the gate. Host timings are scratch, never
-//! canonical: they go to the git-ignored `BENCH_TIMINGS.json` (overwriting
-//! it, like the experiments runner does), keeping `BENCH_RESULTS.json`
-//! byte-stable by construction.
+//! Exits nonzero when the median native/tree ratio is below `--min-ratio`
+//! (default 2.0) on the full run or below `--min-native-ratio` (default
+//! 2.5) on the executor-only measurement — margins below the measured
+//! ratios recorded in DESIGN.md, so the gates fail only on real
+//! regressions. `--tier` restricts the run to one tier (no gates, no
+//! ratios). `--native-tier` substitutes the tier actually run for the
+//! "native" row — CI uses `--native-tier tree` as a negative control that
+//! must fail the gates. Host timings are scratch, never canonical: they go
+//! to the git-ignored `BENCH_TIMINGS.json` (overwriting it, like the
+//! experiments runner does), keeping `BENCH_RESULTS.json` byte-stable by
+//! construction.
 
 use dynfb_apps::barnes_hut::{barnes_hut, BarnesHutConfig};
 use dynfb_apps::machine_config;
@@ -43,18 +44,17 @@ use dynfb_sim::{run_app_ref, AppReport, Machine, OpSink, RunConfig, SectionKind,
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: vm_throughput [--tier T] [--native-tier T] [--procs N] [--bodies N] \
-[--steps N] [--repeats N] [--min-ratio R] [--min-native-ratio R] [--min-native-vm-ratio R]
+[--steps N] [--repeats N] [--min-ratio R] [--min-native-ratio R]
 
-  --tier T               measure one tier only: tree | vm | native (default: all)
+  --tier T               measure one tier only: tree | native (default: both)
   --native-tier T        tier actually run for the \"native\" row (negative-control
-                         hook: --native-tier tree must fail the native gates)
+                         hook: --native-tier tree must fail the gates)
   --procs N              simulated processors (default: 8)
   --bodies N             barnes-hut bodies (default: 256)
   --steps N              barnes-hut time steps (default: 2)
-  --repeats N            host-timing repeats, best-of (default: 3)
-  --min-ratio R          fail unless full-run vm/tree throughput >= R (default: 2.0)
-  --min-native-ratio R   fail unless executor-only native/tree >= R (default: 2.5)
-  --min-native-vm-ratio R fail unless executor-only native/vm >= R (default: 1.1)";
+  --repeats N            paired host-timing repeats (default: 3)
+  --min-ratio R          fail unless the median full-run native/tree >= R (default: 2.0)
+  --min-native-ratio R   fail unless the median executor-only native/tree >= R (default: 2.5)";
 
 struct Opts {
     tier: Option<ExecTier>,
@@ -65,13 +65,11 @@ struct Opts {
     repeats: usize,
     min_ratio: f64,
     min_native_ratio: f64,
-    min_native_vm_ratio: f64,
 }
 
 fn parse_tier(v: &str) -> Option<ExecTier> {
     match v {
         "tree" => Some(ExecTier::Tree),
-        "vm" => Some(ExecTier::Vm),
         "native" => Some(ExecTier::Native),
         _ => None,
     }
@@ -87,7 +85,6 @@ fn parse_opts() -> Opts {
         repeats: 3,
         min_ratio: 2.0,
         min_native_ratio: 2.5,
-        min_native_vm_ratio: 1.1,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -103,11 +100,11 @@ fn parse_opts() -> Opts {
         };
         match flag.as_str() {
             "--tier" => {
-                let v = value("tree|vm|native");
+                let v = value("tree|native");
                 opts.tier = Some(parse_tier(&v).unwrap_or_else(|| bad(&v)));
             }
             "--native-tier" => {
-                let v = value("tree|vm|native");
+                let v = value("tree|native");
                 opts.native_tier = Some(parse_tier(&v).unwrap_or_else(|| bad(&v)));
             }
             "--procs" => {
@@ -134,10 +131,6 @@ fn parse_opts() -> Opts {
                 let v = value("a ratio");
                 opts.min_native_ratio = v.parse().unwrap_or_else(|_| bad(&v));
             }
-            "--min-native-vm-ratio" => {
-                let v = value("a ratio");
-                opts.min_native_vm_ratio = v.parse().unwrap_or_else(|_| bad(&v));
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -155,7 +148,6 @@ fn parse_opts() -> Opts {
 fn tier_name(tier: ExecTier) -> &'static str {
     match tier {
         ExecTier::Tree => "tree",
-        ExecTier::Vm => "vm",
         ExecTier::Native => "native",
     }
 }
@@ -173,23 +165,15 @@ fn app_config(opts: &Opts) -> BarnesHutConfig {
     BarnesHutConfig { bodies: opts.bodies, steps: opts.steps, ..BarnesHutConfig::default() }
 }
 
-/// Best-of-N host time for one tier's full simulation, plus the
-/// (tier-independent) report of the last run for cross-checking.
+/// Host time of one tier's full simulation, plus its report for
+/// cross-checking. A fresh app per run: runs mutate the heap, and
+/// identical inputs keep the simulated work identical across tiers.
 fn measure(opts: &Opts, tier: ExecTier, cfg: &RunConfig) -> (Duration, AppReport) {
-    let bh = app_config(opts);
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..opts.repeats {
-        // A fresh app per repeat: runs mutate the heap, and identical
-        // inputs keep the simulated work identical across tiers.
-        let mut app = barnes_hut(&bh);
-        app.set_exec_tier(effective_tier(opts, tier));
-        let started = Instant::now();
-        let report = run_app_ref(&mut app, cfg).expect("barnes-hut runs");
-        best = best.min(started.elapsed());
-        last = Some(report);
-    }
-    (best, last.expect("at least one repeat"))
+    let mut app = barnes_hut(&app_config(opts));
+    app.set_exec_tier(effective_tier(opts, tier));
+    let started = Instant::now();
+    let report = run_app_ref(&mut app, cfg).expect("barnes-hut runs");
+    (started.elapsed(), report)
 }
 
 /// Digest of one executor-only walk, used to assert the tiers did
@@ -200,113 +184,134 @@ struct ExecDigest {
     compute: Duration,
 }
 
-/// Best-of-N host time for one tier's *emission path only*: walk the plan
-/// and call `emit_serial`/`emit_iteration` exactly as the runtime would,
-/// with no event engine. This is where the tiers differ, so the native
-/// gates run on this measurement.
+/// Host time of one tier's *emission path only*: walk the plan and call
+/// `emit_serial`/`emit_iteration` exactly as the runtime would, with no
+/// event engine. This is where the tiers differ.
 fn measure_exec(opts: &Opts, tier: ExecTier) -> (Duration, ExecDigest) {
-    let bh = app_config(opts);
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..opts.repeats {
-        let mut app = barnes_hut(&bh);
-        app.set_exec_tier(effective_tier(opts, tier));
-        let mut machine = Machine::new(machine_config());
-        app.setup(&mut machine);
-        let plan = app.plan();
-        let mut digest = ExecDigest { steps: 0, compute: Duration::ZERO };
-        let started = Instant::now();
-        for entry in &plan {
-            let mut sink = OpSink::default();
-            match entry.kind {
-                SectionKind::Serial => app.emit_serial(&entry.name, &mut sink),
-                SectionKind::Parallel => {
-                    let iters = app.begin_parallel(&entry.name);
-                    let version = app
-                        .version_for_policy(&entry.name, "original")
-                        .expect("original version exists");
-                    for i in 0..iters {
-                        app.emit_iteration(&entry.name, version, i, &mut sink);
-                    }
-                }
-            }
-            for step in sink.into_steps() {
-                digest.steps += 1;
-                if let Step::Compute(d) = step {
-                    digest.compute += d;
+    let mut app = barnes_hut(&app_config(opts));
+    app.set_exec_tier(effective_tier(opts, tier));
+    let mut machine = Machine::new(machine_config());
+    app.setup(&mut machine);
+    let plan = app.plan();
+    let mut digest = ExecDigest { steps: 0, compute: Duration::ZERO };
+    let started = Instant::now();
+    for entry in &plan {
+        let mut sink = OpSink::default();
+        match entry.kind {
+            SectionKind::Serial => app.emit_serial(&entry.name, &mut sink),
+            SectionKind::Parallel => {
+                let iters = app.begin_parallel(&entry.name);
+                let version =
+                    app.version_for_policy(&entry.name, "original").expect("original version");
+                for i in 0..iters {
+                    app.emit_iteration(&entry.name, version, i, &mut sink);
                 }
             }
         }
-        best = best.min(started.elapsed());
-        last = Some(digest);
+        for step in sink.into_steps() {
+            digest.steps += 1;
+            if let Step::Compute(d) = step {
+                digest.compute += d;
+            }
+        }
     }
-    (best, last.expect("at least one repeat"))
+    (started.elapsed(), digest)
+}
+
+/// Median, minimum and maximum of a non-empty sample.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(xs: &[f64]) -> Spread {
+        let mut v = xs.to_vec();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        let median = if n % 2 == 1 { v[n / 2] } else { (v[n / 2 - 1] + v[n / 2]) / 2.0 };
+        Spread { median, min: v[0], max: v[n - 1] }
+    }
+
+    fn json(&self, key: &str) -> String {
+        format!(
+            "  \"{key}\": {:.3},\n  \"{key}_min\": {:.3},\n  \"{key}_max\": {:.3},\n",
+            self.median, self.min, self.max
+        )
+    }
 }
 
 fn main() {
     let opts = parse_opts();
     let cfg = RunConfig::fixed(opts.procs, "original");
-
     let tiers: Vec<ExecTier> = match opts.tier {
         Some(t) => vec![t],
-        None => vec![ExecTier::Tree, ExecTier::Vm, ExecTier::Native],
+        None => vec![ExecTier::Tree, ExecTier::Native],
     };
-    let runs: Vec<(ExecTier, Duration, AppReport)> = tiers
-        .iter()
-        .map(|&t| {
-            let (time, report) = measure(&opts, t, &cfg);
-            (t, time, report)
-        })
-        .collect();
-    let exec_runs: Vec<(ExecTier, Duration, ExecDigest)> = tiers
-        .iter()
-        .map(|&t| {
-            let (time, digest) = measure_exec(&opts, t);
-            (t, time, digest)
-        })
-        .collect();
 
-    // The determinism contract, enforced on the real workload: every
-    // measured tier must have produced the same simulation — and the same
-    // emission digest on the executor-only walk.
-    let (_, _, reference) = &runs[0];
-    for (t, _, report) in &runs[1..] {
-        assert_eq!(
-            report.stats,
-            reference.stats,
-            "tier reports diverged (stats, {} vs {})",
-            tier_name(*t),
-            tier_name(runs[0].0)
-        );
-        assert_eq!(
-            report.sections,
-            reference.sections,
-            "tier reports diverged (sections, {} vs {})",
-            tier_name(*t),
-            tier_name(runs[0].0)
-        );
+    // Per tier (same order as `tiers`): full-run and executor-only host
+    // times, one entry per repeat. Each repeat runs the tiers back to
+    // back, alternating which goes first.
+    let mut full: Vec<Vec<Duration>> = vec![Vec::new(); tiers.len()];
+    let mut exec: Vec<Vec<Duration>> = vec![Vec::new(); tiers.len()];
+    let mut reference: Option<AppReport> = None;
+    let mut exec_reference: Option<ExecDigest> = None;
+    for r in 0..opts.repeats {
+        let mut order: Vec<usize> = (0..tiers.len()).collect();
+        if r % 2 == 1 {
+            order.reverse();
+        }
+        for &i in &order {
+            let (time, report) = measure(&opts, tiers[i], &cfg);
+            // The determinism contract, enforced on the real workload:
+            // every run of every tier must produce the same simulation.
+            match &reference {
+                None => reference = Some(report),
+                Some(want) => {
+                    let tier = tier_name(tiers[i]);
+                    assert_eq!(report.stats, want.stats, "tier reports diverged (stats, {tier})");
+                    assert_eq!(
+                        report.sections, want.sections,
+                        "tier reports diverged (sections, {tier})"
+                    );
+                }
+            }
+            full[i].push(time);
+        }
+        for &i in &order {
+            let (time, digest) = measure_exec(&opts, tiers[i]);
+            match &exec_reference {
+                None => exec_reference = Some(digest),
+                Some(want) => {
+                    assert_eq!(&digest, want, "executor digests diverged ({})", tier_name(tiers[i]))
+                }
+            }
+            exec[i].push(time);
+        }
     }
-    let (_, _, exec_reference) = &exec_runs[0];
-    for (t, _, digest) in &exec_runs[1..] {
-        assert_eq!(
-            digest,
-            exec_reference,
-            "executor digests diverged ({} vs {})",
-            tier_name(*t),
-            tier_name(exec_runs[0].0)
-        );
-    }
+    let reference = reference.expect("at least one run");
 
     // Simulated work ≈ charged node costs; identical across tiers, so any
     // ops proxy cancels in the ratios. Use charged compute nanos.
     let sim_ns = reference.stats.totals().compute.as_nanos();
-    let ops_per_sec = |host: Duration| sim_ns as f64 / 1e3 / host.as_secs_f64();
-    let time_of = |tier: ExecTier| runs.iter().find(|(t, ..)| *t == tier).map(|(_, d, _)| *d);
-    let exec_time_of =
-        |tier: ExecTier| exec_runs.iter().find(|(t, ..)| *t == tier).map(|(_, d, _)| *d);
+    let ops_per_sec = |host_ms: f64| sim_ns as f64 / host_ms;
+    let ms_spread = |times: &[Duration]| {
+        Spread::of(&times.iter().map(|d| d.as_secs_f64() * 1e3).collect::<Vec<_>>())
+    };
+    // Per-repeat native/tree ratios, when both tiers ran.
+    let paired = |times: &[Vec<Duration>]| -> Option<Spread> {
+        let [tree, native] = times else { return None };
+        let ratios: Vec<f64> =
+            tree.iter().zip(native).map(|(t, n)| t.as_secs_f64() / n.as_secs_f64()).collect();
+        Some(Spread::of(&ratios))
+    };
+    let full_ratio = paired(&full);
+    let exec_ratio = paired(&exec);
 
     println!(
-        "barnes-hut: {} bodies, {} steps, {} procs, policy original, best of {}",
+        "barnes-hut: {} bodies, {} steps, {} procs, policy original, {} paired repeats",
         opts.bodies, opts.steps, opts.procs, opts.repeats
     );
     if let Some(t) = opts.native_tier {
@@ -314,35 +319,9 @@ fn main() {
     }
     println!("  simulated compute: {:.3} ms", sim_ns as f64 / 1e6);
     println!(
-        "  {:<12} {:>12} {:>16} {:>10} {:>12} {:>10}",
-        "tier", "host ms", "sim-ops/host-s", "vs tree", "exec ms", "vs tree"
+        "  {:<8} {:>22} {:>16} {:>22}",
+        "tier", "host ms (min-max)", "sim-ops/host-s", "exec ms (min-max)"
     );
-    let tree_time = time_of(ExecTier::Tree);
-    let exec_tree_time = exec_time_of(ExecTier::Tree);
-    for ((t, time, _), (_, exec_time, _)) in runs.iter().zip(&exec_runs) {
-        let vs = |base: Option<Duration>, mine: Duration| match base {
-            Some(b) => format!("{:.2}x", b.as_secs_f64() / mine.as_secs_f64()),
-            None => "-".to_string(),
-        };
-        println!(
-            "  {:<12} {:>12.1} {:>16.0} {:>10} {:>12.1} {:>10}",
-            tier_name(*t),
-            ms(*time),
-            ops_per_sec(*time),
-            vs(tree_time, *time),
-            ms(*exec_time),
-            vs(exec_tree_time, *exec_time),
-        );
-    }
-
-    let ratio = |base: Option<Duration>, t: Option<Duration>| -> Option<f64> {
-        Some(base?.as_secs_f64() / t?.as_secs_f64())
-    };
-    let vm_ratio = ratio(tree_time, time_of(ExecTier::Vm));
-    let native_ratio = ratio(tree_time, time_of(ExecTier::Native));
-    let exec_native_ratio = ratio(exec_tree_time, exec_time_of(ExecTier::Native));
-    let exec_native_vm_ratio = ratio(exec_time_of(ExecTier::Vm), exec_time_of(ExecTier::Native));
-
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"vm_throughput\",\n  \"app\": \"barnes-hut\",\n");
     json.push_str(&format!("  \"bodies\": {},\n", opts.bodies));
@@ -351,75 +330,51 @@ fn main() {
     json.push_str("  \"policy\": \"original\",\n");
     json.push_str(&format!("  \"repeats\": {},\n", opts.repeats));
     json.push_str(&format!("  \"simulated_compute_ns\": {sim_ns},\n"));
-    for ((t, time, _), (_, exec_time, _)) in runs.iter().zip(&exec_runs) {
-        let name = tier_name(*t);
-        json.push_str(&format!("  \"{name}_host_seconds\": {:.6},\n", time.as_secs_f64()));
+    for (i, &t) in tiers.iter().enumerate() {
+        let (f, e) = (ms_spread(&full[i]), ms_spread(&exec[i]));
+        let name = tier_name(t);
+        println!(
+            "  {name:<8} {:>22} {:>16.0} {:>22}",
+            format!("{:.1} ({:.1}-{:.1})", f.median, f.min, f.max),
+            ops_per_sec(f.median),
+            format!("{:.1} ({:.1}-{:.1})", e.median, e.min, e.max),
+        );
+        json.push_str(&format!("  \"{name}_host_seconds\": {:.6},\n", f.median / 1e3));
         json.push_str(&format!(
             "  \"{name}_sim_ops_per_host_second\": {:.0},\n",
-            ops_per_sec(*time)
+            ops_per_sec(f.median)
         ));
-        json.push_str(&format!(
-            "  \"{name}_exec_host_seconds\": {:.6},\n",
-            exec_time.as_secs_f64()
-        ));
+        json.push_str(&format!("  \"{name}_exec_host_seconds\": {:.6},\n", e.median / 1e3));
     }
-    if let Some(r) = vm_ratio {
-        json.push_str(&format!("  \"vm_speedup\": {r:.3},\n"));
+    if let Some(r) = full_ratio {
+        json.push_str(&r.json("native_speedup"));
     }
-    if let Some(r) = native_ratio {
-        json.push_str(&format!("  \"native_speedup\": {r:.3},\n"));
-    }
-    if let Some(r) = exec_native_ratio {
-        json.push_str(&format!("  \"native_exec_speedup\": {r:.3},\n"));
-    }
-    if let Some(r) = exec_native_vm_ratio {
-        json.push_str(&format!("  \"native_exec_vs_vm\": {r:.3},\n"));
+    if let Some(r) = exec_ratio {
+        json.push_str(&r.json("native_exec_speedup"));
     }
     json.push_str(&format!("  \"min_ratio\": {:.3},\n", opts.min_ratio));
-    json.push_str(&format!("  \"min_native_ratio\": {:.3},\n", opts.min_native_ratio));
-    json.push_str(&format!("  \"min_native_vm_ratio\": {:.3}\n}}\n", opts.min_native_vm_ratio));
+    json.push_str(&format!("  \"min_native_ratio\": {:.3}\n}}\n", opts.min_native_ratio));
     std::fs::write("BENCH_TIMINGS.json", &json).expect("write timings json");
     println!("Wrote BENCH_TIMINGS.json ({} bytes)", json.len());
 
+    let gates = [
+        ("full run", full_ratio, opts.min_ratio),
+        ("executor-only", exec_ratio, opts.min_native_ratio),
+    ];
     let mut failed = false;
-    if let Some(r) = vm_ratio {
-        println!("  vm gate (full run): {r:.2}x (>= {:.2}x required)", opts.min_ratio);
-        if r < opts.min_ratio {
-            eprintln!("FAIL: vm speedup {r:.2}x is below the {:.2}x gate", opts.min_ratio);
-            failed = true;
-        }
-    }
-    if let Some(r) = exec_native_ratio {
+    for (what, spread, min) in gates {
+        let Some(r) = spread else { continue };
         println!(
-            "  native gate (executor-only, vs tree): {r:.2}x (>= {:.2}x required)",
-            opts.min_native_ratio
+            "  native/tree gate ({what}): median {:.2}x over {} repeats, range {:.2}-{:.2}x \
+             (>= {min:.2}x required)",
+            r.median, opts.repeats, r.min, r.max
         );
-        if r < opts.min_native_ratio {
-            eprintln!(
-                "FAIL: executor-only native speedup {r:.2}x is below the {:.2}x gate",
-                opts.min_native_ratio
-            );
-            failed = true;
-        }
-    }
-    if let Some(r) = exec_native_vm_ratio {
-        println!(
-            "  native gate (executor-only, vs vm): {r:.2}x (>= {:.2}x required)",
-            opts.min_native_vm_ratio
-        );
-        if r < opts.min_native_vm_ratio {
-            eprintln!(
-                "FAIL: executor-only native-vs-vm speedup {r:.2}x is below the {:.2}x gate",
-                opts.min_native_vm_ratio
-            );
+        if r.median < min {
+            eprintln!("FAIL: {what} native speedup {:.2}x is below the {min:.2}x gate", r.median);
             failed = true;
         }
     }
     if failed {
         std::process::exit(1);
     }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }

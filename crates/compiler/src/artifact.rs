@@ -27,7 +27,7 @@ use crate::interp::{CostModel, Heap, HostRegistry, Interp, ProgramEnv, Value};
 use crate::lockplace::insert_default_regions;
 use crate::native::{compile_native, NativeExec, NativeModule};
 use crate::syncopt::{optimize, FnSet, Policy};
-use crate::vm::{lower_body, lower_functions, ExecTier, Vm, VmModule};
+use crate::vm::{lower_body, lower_functions, ExecTier, VmModule};
 use dynfb_lang::hir::{body_size, Expr, Function, Hir, LocalId, Stmt, Ty};
 use dynfb_sim::{LockId, Machine, OpSink, PlanEntry, SectionKind, SimApp};
 use std::collections::HashMap;
@@ -131,7 +131,8 @@ impl std::error::Error for CompileError {}
 pub struct VmCode {
     /// Module with one lowered function per [`VersionCode::functions`]
     /// entry (same indices), plus the iteration body appended as a
-    /// pseudo-function.
+    /// pseudo-function. This is the input [`compile_native`] compiled into
+    /// `native`; no executor reads it, and it is kept for inspection.
     pub module: VmModule,
     /// Index of the iteration-body pseudo-function in `module`.
     pub body_fn: usize,
@@ -216,7 +217,8 @@ pub struct VersionCode {
     pub body: Vec<Stmt>,
     /// Types of the section function's locals (iteration frame layout).
     pub locals_ty: Vec<Ty>,
-    /// Bytecode for the fast execution tier.
+    /// Lowered bytecode and its native compilation (the fast execution
+    /// tier).
     pub vm: VmCode,
     /// Per-lock-class source-region provenance of this version (one entry
     /// per class with critical regions reachable from the loop body).
@@ -319,10 +321,8 @@ pub struct CompiledApp {
     plan: Vec<PlanEntry>,
     /// Base (serial) function table, used by serial sections.
     serial_funcs: Vec<Function>,
-    /// `serial_funcs` lowered to bytecode (the VM tier of serial sections).
-    vm_serial: VmModule,
-    /// `vm_serial` compiled to fused closures (the native tier of serial
-    /// sections).
+    /// `serial_funcs` lowered and compiled to fused closures (the native
+    /// tier of serial sections).
     native_serial: Arc<NativeModule>,
     sections: HashMap<String, SectionCode>,
     env: ProgramEnv,
@@ -335,9 +335,9 @@ pub struct CompiledApp {
     hir: Hir,
     /// Which tier executes compiled code (the native tier by default).
     tier: ExecTier,
-    /// Register-stack scratch shared by the VM and native tiers, reused
-    /// across runs and iterations.
-    vm_regs: Vec<Value>,
+    /// Register-stack scratch of the native tier, reused across runs and
+    /// iterations.
+    regs: Vec<Value>,
 }
 
 impl fmt::Debug for CompiledApp {
@@ -505,12 +505,10 @@ pub fn compile(
     }
 
     let globals = hir.globals.iter().map(|g| Value::default_for(&g.ty)).collect();
-    let vm_serial = lower_functions(&hir.functions);
-    let native_serial = compile_native(&vm_serial, &cost);
+    let native_serial = compile_native(&lower_functions(&hir.functions), &cost);
     Ok(CompiledApp {
         name: options.name,
         plan: options.plan,
-        vm_serial,
         native_serial,
         serial_funcs: hir.functions.clone(),
         sections,
@@ -528,7 +526,7 @@ pub fn compile(
         active: HashMap::new(),
         hir,
         tier: ExecTier::default(),
-        vm_regs: Vec::new(),
+        regs: Vec::new(),
     })
 }
 
@@ -545,10 +543,10 @@ impl CompiledApp {
         self.tier
     }
 
-    /// Select the execution tier: fused native closures (default), the
-    /// bytecode VM, or the tree-walking oracle. All three emit
-    /// bit-identical step sequences, so switching tiers never changes
-    /// simulation results — only how fast the host produces them.
+    /// Select the execution tier: fused native closures (default) or the
+    /// tree-walking oracle. Both emit bit-identical step sequences, so
+    /// switching tiers never changes simulation results — only how fast
+    /// the host produces them.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
         self.tier = tier;
     }
@@ -738,9 +736,8 @@ impl SimApp for CompiledApp {
         let CompiledApp {
             env,
             serial_funcs,
-            vm_serial,
             native_serial,
-            vm_regs,
+            regs,
             cost,
             fuel,
             max_objects,
@@ -755,19 +752,7 @@ impl SimApp for CompiledApp {
                 lock_base,
                 lock_capacity: *max_objects,
                 fuel: *fuel,
-                regs: vm_regs,
-            }
-            .call(func.0, None, &[])
-            .map(|_| ()),
-            ExecTier::Vm => Vm {
-                env,
-                module: vm_serial,
-                cost: *cost,
-                sink: ops,
-                lock_base,
-                lock_capacity: *max_objects,
-                fuel: *fuel,
-                regs: vm_regs,
+                regs,
             }
             .call(func.0, None, &[])
             .map(|_| ()),
@@ -810,7 +795,7 @@ impl SimApp for CompiledApp {
     fn emit_iteration(&mut self, section: &str, version: usize, iter: usize, ops: &mut OpSink) {
         let (start, _count) = self.active[section];
         let lock_base = self.lock_base.expect("setup ran");
-        let CompiledApp { env, sections, vm_regs, cost, fuel, max_objects, tier, .. } = self;
+        let CompiledApp { env, sections, regs, cost, fuel, max_objects, tier, .. } = self;
         let sc = &sections[section];
         let vc = if version == sc.versions.len() { &sc.serial } else { &sc.versions[version] };
         let value = start + iter as i64;
@@ -822,18 +807,7 @@ impl SimApp for CompiledApp {
                 lock_base,
                 lock_capacity: *max_objects,
                 fuel: *fuel,
-                regs: vm_regs,
-            }
-            .exec_iteration(vc.vm.body_fn, vc.var.0, value),
-            ExecTier::Vm => Vm {
-                env,
-                module: &vc.vm.module,
-                cost: *cost,
-                sink: ops,
-                lock_base,
-                lock_capacity: *max_objects,
-                fuel: *fuel,
-                regs: vm_regs,
+                regs,
             }
             .exec_iteration(vc.vm.body_fn, vc.var.0, value),
             ExecTier::Tree => {

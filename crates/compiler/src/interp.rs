@@ -562,7 +562,7 @@ impl<'a> Interp<'a> {
 }
 
 /// Apply a binary operator to two values. Shared by the tree-walker and
-/// the bytecode VM so both tiers have identical numeric semantics and
+/// the native tier so both tiers have identical numeric semantics and
 /// error messages.
 #[inline]
 pub(crate) fn binary_op(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {

@@ -23,12 +23,12 @@
 //!    deduplication; the result implements `dynfb_sim::SimApp` and runs on
 //!    the simulated multiprocessor.
 //!
-//! Compiled code executes on one of three tiers: fused native closures
-//! ([`native`], the default — each basic block compiled to a single Rust
-//! closure at `compile()` time), the register-based bytecode VM ([`vm`]),
-//! or the tree-walking interpreter ([`interp`], the reference oracle).
-//! All three emit bit-identical simulation step sequences; see `DESIGN.md`
-//! for the determinism contract.
+//! Compiled code executes on one of two tiers: fused native closures
+//! ([`native`], the default — each function lowered to register bytecode
+//! by [`vm`], then each basic block compiled to a single Rust closure at
+//! `compile()` time), or the tree-walking interpreter ([`interp`], the
+//! reference oracle). Both emit bit-identical simulation step sequences;
+//! see `DESIGN.md` for the determinism contract.
 
 #![warn(missing_docs)]
 

@@ -1,12 +1,12 @@
-//! Tier-3 native execution: closure-fusion compilation above the bytecode
-//! VM.
+//! Native execution: closure-fusion compilation of the lowered bytecode.
 //!
-//! The bytecode VM ([`crate::vm`]) still pays three per-instruction costs
-//! the hardware does not have to: the dispatch `match` (one indirect
-//! branch from a single, maximally-mispredicted call site), a bounds check
-//! on every register operand, and a fuel/cost debit per [`Insn::Charge`].
-//! This module removes all three by compiling each [`VmFunc`] *basic
-//! block* into a single fused Rust closure at `compile()` time:
+//! Interpreting the bytecode of [`crate::vm`] one instruction at a time
+//! would pay three per-instruction costs the hardware does not have to:
+//! the dispatch `match` (one indirect branch from a single,
+//! maximally-mispredicted call site), a bounds check on every register
+//! operand, and a fuel/cost debit per [`Insn::Charge`]. This module
+//! removes all three by compiling each [`VmFunc`] *basic block* into a
+//! single fused Rust closure at `compile()` time:
 //!
 //! * **fused superinstructions** — the block's instructions are lowered to
 //!   monomorphized op kernels (one closure type per instruction variant,
@@ -31,7 +31,7 @@
 //!   charge folds into its successor kernel as a prologue (no dedicated
 //!   dispatch), and on fuel exhaustion the kernel debits the sink only
 //!   for the fuel actually consumed, so the exhaustion point and the
-//!   partial sink match the VM and the tree-walker bit-for-bit.
+//!   partial sink match the tree-walker's bit-for-bit.
 //!
 //! ## The kernel calling convention
 //!
@@ -58,16 +58,18 @@
 //! kernels debit the same nanosecond-exact compute, and host calls charge
 //! their configured costs — so `ProcStats`, the per-lock metrics, the
 //! detector signal path, and every oracle see byte-identical numbers under
-//! all three tiers.
+//! both tiers.
 //!
 //! ## Determinism contract
 //!
-//! Identical to the VM's (see [`crate::vm`]): same return values, heap,
-//! globals, step sequences, error messages, and fuel boundary as the
+//! For every program, the native tier produces the same return value,
+//! heap, globals, step sequence, error message, and fuel boundary as the
 //! tree-walker on every successful run; error paths may differ only in
 //! partially-flushed sink contents around host calls (which batch their
-//! preceding node charges after the call). `tests/native_differential.rs`
-//! enforces the contract across all three tiers.
+//! preceding node charges after the call) and partially-applied heap
+//! effects, which the runtime discards (iteration errors abort the run).
+//! `tests/native_differential.rs` enforces the contract on seeded random
+//! programs and run configurations.
 
 use crate::interp::{binary_op, CostModel, HostFn, ProgramEnv, RuntimeError, Value};
 use crate::vm::{Insn, VmFunc, VmModule, NO_REG};
@@ -1456,7 +1458,7 @@ impl NativeExec<'_> {
 mod tests {
     use super::*;
     use crate::interp::{Heap, HostRegistry, Interp};
-    use crate::vm::{lower_functions, Vm};
+    use crate::vm::lower_functions;
     use dynfb_lang::compile_source;
     use dynfb_sim::Step;
 
@@ -1483,15 +1485,26 @@ mod tests {
         result: Result<Value, RuntimeError>,
         steps: Vec<Step>,
         globals: Vec<Value>,
+        heap: Heap,
     }
 
-    /// Run one function under all three tiers with the given fuel.
-    fn tiers(src: &str, func: &str, args: &[Value], fuel: u64) -> [Outcome; 3] {
+    impl Outcome {
+        /// Assert the final heap matches another tier's.
+        fn assert_same_heap(&self, other: &Outcome) {
+            assert_eq!(self.heap.arrays, other.heap.arrays, "arrays");
+            assert_eq!(self.heap.objects.len(), other.heap.objects.len(), "object count");
+            for (a, b) in self.heap.objects.iter().zip(&other.heap.objects) {
+                assert_eq!(a.fields, b.fields, "object fields");
+            }
+        }
+    }
+
+    /// Run one function under both tiers with the given fuel.
+    fn tiers(src: &str, func: &str, args: &[Value], fuel: u64) -> [Outcome; 2] {
         let hir = compile_source(src).unwrap_or_else(|e| panic!("{e}"));
         let f = hir.function_named(func).expect("function");
         let base = lock_base(1024);
-        let module = lower_functions(&hir.functions);
-        let native = compile_native(&module, &CostModel::default());
+        let native = compile_native(&lower_functions(&hir.functions), &CostModel::default());
 
         let tree = {
             let mut env = env_for(&hir);
@@ -1506,24 +1519,8 @@ mod tests {
                 fuel,
             }
             .call(f.0, None, args.to_vec());
-            Outcome { result, steps: sink.into_steps().into_iter().collect(), globals: env.globals }
-        };
-        let vm = {
-            let mut env = env_for(&hir);
-            let mut sink = OpSink::default();
-            let mut regs = Vec::new();
-            let result = Vm {
-                env: &mut env,
-                module: &module,
-                cost: CostModel::default(),
-                sink: &mut sink,
-                lock_base: base,
-                lock_capacity: 1024,
-                fuel,
-                regs: &mut regs,
-            }
-            .call(f.0, None, args);
-            Outcome { result, steps: sink.into_steps().into_iter().collect(), globals: env.globals }
+            let steps = sink.into_steps().into_iter().collect();
+            Outcome { result, steps, globals: env.globals, heap: env.heap }
         };
         let nat = {
             let mut env = env_for(&hir);
@@ -1539,24 +1536,23 @@ mod tests {
                 regs: &mut regs,
             }
             .call(f.0, None, args);
-            Outcome { result, steps: sink.into_steps().into_iter().collect(), globals: env.globals }
+            let steps = sink.into_steps().into_iter().collect();
+            Outcome { result, steps, globals: env.globals, heap: env.heap }
         };
-        [tree, vm, nat]
+        [tree, nat]
     }
 
     #[test]
     fn recursion_and_control_flow_match() {
-        let [tree, vm, nat] = tiers(
+        let [tree, nat] = tiers(
             "int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }",
             "fib",
             &[Value::Int(12)],
             10_000_000,
         );
         assert_eq!(tree.result.as_ref().unwrap(), &Value::Int(144));
-        assert_eq!(tree.result, vm.result);
         assert_eq!(tree.result, nat.result);
         assert_eq!(tree.steps, nat.steps);
-        assert_eq!(vm.steps, nat.steps);
     }
 
     #[test]
@@ -1572,15 +1568,36 @@ mod tests {
                  for (int i = 0; i < n; i++) { acc = hostadd(acc, cells[i].count * 0.5); }
                  return acc;
              }";
-        let [tree, vm, nat] = tiers(src, "test", &[Value::Int(6)], 10_000_000);
+        let [tree, nat] = tiers(src, "test", &[Value::Int(6)], 10_000_000);
         assert_eq!(tree.result, nat.result);
-        assert_eq!(vm.result, nat.result);
         assert_eq!(tree.steps, nat.steps);
         assert_eq!(tree.globals, nat.globals);
+        tree.assert_same_heap(&nat);
+    }
+
+    /// A `while` loop dispatching methods through an object array, with
+    /// an integer result the test can check by hand.
+    #[test]
+    fn loops_arrays_and_objects_match() {
+        let src = "class cell { int count; void bump(int n) { this.count += n; } }
+             int test(int n) {
+                 cell[] cells = new cell[n];
+                 for (int i = 0; i < n; i++) { cells[i] = new cell(); }
+                 int j = n * 2;
+                 while (j > 0) { j = j - 1; cells[j % n].bump(j); }
+                 int total = 0;
+                 for (int i = 0; i < n; i++) { total += cells[i].count; }
+                 return total;
+             }";
+        let [tree, nat] = tiers(src, "test", &[Value::Int(6)], 10_000_000);
+        assert_eq!(nat.result.as_ref().unwrap(), &Value::Int(66));
+        assert_eq!(tree.result, nat.result);
+        assert_eq!(tree.steps, nat.steps);
+        tree.assert_same_heap(&nat);
     }
 
     /// The fused-block debit bisects exactly at the fuel boundary: for
-    /// every fuel value, all three tiers agree on success/failure, and an
+    /// every fuel value, both tiers agree on success/failure, and an
     /// exhausted run's sink records exactly one node cost per unit of fuel
     /// consumed — so the partial step sequences are identical too (the
     /// program is free of host calls, whose cost batching legitimately
@@ -1595,15 +1612,13 @@ mod tests {
                    }";
         let mut boundary = None;
         for fuel in 0..10_000u64 {
-            let [tree, vm, nat] = tiers(src, "burn", &[Value::Int(9)], fuel);
+            let [tree, nat] = tiers(src, "burn", &[Value::Int(9)], fuel);
             assert_eq!(
                 tree.result.is_ok(),
                 nat.result.is_ok(),
                 "tree vs native disagree at fuel {fuel}"
             );
-            assert_eq!(vm.result.is_ok(), nat.result.is_ok(), "vm vs native disagree at {fuel}");
             assert_eq!(tree.steps, nat.steps, "partial sinks differ at fuel {fuel}");
-            assert_eq!(vm.steps, nat.steps, "partial sinks differ at fuel {fuel}");
             if tree.result.is_ok() {
                 boundary = Some(fuel);
                 break;
